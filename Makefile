@@ -8,7 +8,7 @@ RUFF ?= ruff
 
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-adaptive bench-compare bench-recovery coverage examples smoke lint lint-cq test-recovery obs-demo ci
+.PHONY: test bench bench-smoke bench-adaptive bench-compare bench-recovery perfbench coverage examples smoke lint lint-cq test-recovery obs-demo ci
 
 test:
 	$(PY) -m pytest -x -q
@@ -69,6 +69,16 @@ bench-smoke:
 # tier on an adversarial workload, byte-identical output on every tier.
 bench-adaptive:
 	$(PY) -m pytest benchmarks/bench_adaptive.py -q
+
+# The end-to-end benchmark (perfbench/README.md): every workload at seed
+# 1 for 12 s, end-to-end metrics only; the last line of each run is the
+# JSON result.  `--trace 1` gives the per-layer table instead.
+perfbench:
+	@set -e; for workload in catalog fleet_register pane_durable_sharded; do \
+		echo "== $$workload"; \
+		$(PY) perfbench/run.py --workload $$workload --seed 1 \
+			--seconds 12 --trace 0; \
+	done
 
 # The durability gates alone, at full workload scale.
 bench-recovery:

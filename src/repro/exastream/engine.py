@@ -50,6 +50,7 @@ from .plan import (
     expr_aliases,
 )
 from .sharding import canonical_row_key
+from .static_cache import static_cache_for
 from .udf import UDFRegistry, builtin_registry
 
 __all__ = ["WindowResult", "BoundedResultSink", "StreamEngine", "PlanRuntime"]
@@ -1636,14 +1637,24 @@ class StreamEngine:
                 f"{ref.alias}.{c}" for c in source.stream.schema.column_names
             ]
 
+        # Static tables come from each database's shared cache: one
+        # SQLite query and one set of hash indexes per (alias, SQL)
+        # across every binding, shard and engine of that database.
         statics: dict[str, StaticTable] = {}
+        registry = self.obs.registry
         for ref in plan.statics:
             database = self._databases.get(ref.source)
             if database is None:
                 raise KeyError(f"database {ref.source!r} is not attached")
-            names, rows = database.query_with_names(ref.sql)
-            relation = Relation([f"{ref.alias}.{n}" for n in names], rows)
-            statics[ref.alias] = StaticTable(relation)
+            table, hit = static_cache_for(database).get(
+                database, ref.alias, ref.sql
+            )
+            statics[ref.alias] = table
+            registry.counter(
+                "static_table_cache_hits_total"
+                if hit else "static_table_cache_misses_total",
+                query=plan.name,
+            ).inc()
 
         binding = None
         if mqo is not None and self.mqo:

@@ -67,8 +67,9 @@ _ARITHMETIC: dict[str, Callable[[Any, Any], Any]] = {
     "+": lambda a, b: a + b,
     "-": lambda a, b: a - b,
     "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "%": lambda a, b: a % b,
+    # SQLite's scalar semantics: a zero or NULL divisor yields NULL
+    "/": lambda a, b: None if b is None or b == 0 or a is None else a / b,
+    "%": lambda a, b: None if b is None or b == 0 or a is None else a % b,
     "||": lambda a, b: str(a) + str(b),
     "=": lambda a, b: a == b,
     "!=": lambda a, b: a != b,

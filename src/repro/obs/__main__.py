@@ -34,7 +34,8 @@ def _parse_lines(lines) -> list[Span]:
 
 
 def _trace_mode(path: str, follow: bool, interval: float,
-                out=sys.stdout) -> int:
+                out=None) -> int:
+    out = out or sys.stdout
     try:
         handle = open(path, encoding="utf-8")
     except OSError as error:
@@ -53,10 +54,12 @@ def _trace_mode(path: str, follow: bool, interval: float,
     return 0
 
 
-def _live_mode(tasks: int, rounds: int, shards: int, out=sys.stdout) -> int:
+def _live_mode(tasks: int, rounds: int, shards: int, out=None) -> int:
     from ..siemens.catalog import diagnostic_catalog
     from ..siemens.deployment import deploy
     from ..siemens.generator import FleetConfig, generate_fleet
+
+    out = out or sys.stdout
 
     fleet = generate_fleet(FleetConfig(turbines=4, plants=2))
     deployment = deploy(fleet=fleet, stream_duration=20, shards=shards)

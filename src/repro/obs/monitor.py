@@ -5,7 +5,7 @@ Siemens dashboard):
 
 * a :class:`~repro.obs.registry.RegistrySnapshot` — the registry view,
   rendered by :func:`render_query_table` (throughput, latency
-  percentiles, MQO hits, backpressure);
+  percentiles, MQO hits, backpressure, static-table cache hits);
 * a list of :class:`~repro.obs.tracing.Span` — the trace view,
   summarized by :func:`trace_summary` / :func:`render_trace_report`
   (where did each query's pulse time go, by span name).
@@ -36,6 +36,8 @@ _QUERY_COUNTERS = {
     "panes_built": "query_panes_built_total",
     "mqo_partial_hits": "query_mqo_partial_hits_total",
     "mqo_relation_hits": "query_mqo_relation_hits_total",
+    "static_cache_hits": "static_table_cache_hits_total",
+    "static_cache_misses": "static_table_cache_misses_total",
 }
 
 
@@ -92,6 +94,12 @@ def render_query_table(snapshot) -> str:
     lines.append(
         f"bus: published={int(published)} deliveries={int(deliveries)} "
         f"dropped={int(dropped)} backpressure_deferrals={int(deferrals)}"
+    )
+    lines.append(
+        "static tables: "
+        f"cache_hits={int(snapshot.total('static_table_cache_hits_total'))} "
+        f"cache_misses="
+        f"{int(snapshot.total('static_table_cache_misses_total'))}"
     )
     return "\n".join(lines)
 

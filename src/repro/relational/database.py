@@ -65,6 +65,22 @@ class Database:
 
     # -- querying -----------------------------------------------------------
 
+    @property
+    def version(self) -> tuple[int, int, int]:
+        """A change stamp: equal stamps mean no query result has changed.
+
+        ``total_changes`` counts every row this connection inserted,
+        updated or deleted (through :meth:`insert` or raw :meth:`query`
+        DML alike); ``data_version`` moves when another connection
+        commits; ``schema_version`` moves on DDL, which changes no rows.
+        """
+        conn = self._conn
+        return (
+            conn.total_changes,
+            conn.execute("PRAGMA data_version").fetchone()[0],
+            conn.execute("PRAGMA schema_version").fetchone()[0],
+        )
+
     def query(self, sql: str, params: Sequence[Any] = ()) -> list[Row]:
         """Run a SQL query and return all rows."""
         cursor = self._conn.execute(sql, params)

@@ -16,6 +16,7 @@ from repro.exastream import (
     ClusterSimulator,
     GatewayServer,
     PlanningError,
+    QueryState,
     Relation,
     Scheduler,
     StaticTable,
@@ -90,6 +91,17 @@ class TestRelationAndExpr:
         rel = Relation(["v"], [])
         fn = compile_expr(BinOp(">", Col(None, "v"), Lit(1)), rel)
         assert fn((None,)) is False
+
+    def test_zero_or_null_divisor_is_null(self):
+        rel = Relation(["v", "d"], [])
+        for op in ("/", "%"):
+            fn = compile_expr(BinOp(op, Col(None, "v"), Col(None, "d")), rel)
+            assert fn((7, 0)) is None
+            assert fn((7.0, 0.0)) is None
+            assert fn((7, None)) is None
+            assert fn((None, 2)) is None
+        div = compile_expr(BinOp("/", Col(None, "v"), Col(None, "d")), rel)
+        assert div((7.0, 2)) == 3.5
 
     def test_compile_concat(self):
         rel = Relation(["v"], [])
@@ -183,6 +195,33 @@ class TestPlannerAndGateway:
         assert len(q.results()) > 0
         first = q.results()[0]
         assert first.columns == ["sensor", "m"]
+
+    def test_zero_divisor_query_does_not_stall_its_neighbour(self):
+        """Regression: ``AVG(w.val / (w.val - w.val))`` raised
+        ZeroDivisionError out of ``step()`` and the healthy query stayed
+        at window 1.  A zero divisor is NULL, as in SQLite."""
+        engine = engine_with_data()
+        gateway = GatewayServer(engine)
+        healthy = gateway.register(
+            "SELECT w.sid AS s, AVG(w.val) AS m "
+            "FROM timeSlidingWindow(S_Msmt, 4, 2) AS w GROUP BY w.sid",
+            name="healthy",
+        )
+        zero = gateway.register(
+            "SELECT w.sid AS s, AVG(w.val / (w.val - w.val)) AS m, "
+            "COUNT(w.val % 0) AS n "
+            "FROM timeSlidingWindow(S_Msmt, 4, 2) AS w GROUP BY w.sid",
+            name="zero",
+        )
+        while gateway.step():
+            pass
+        assert healthy.state is QueryState.COMPLETED
+        assert zero.state is QueryState.COMPLETED
+        assert len(zero.results()) == len(healthy.results()) > 1
+        for result in zero.results():
+            assert [row[1:] for row in result.rows] == [(None, 0)] * len(
+                result.rows
+            )
 
     def test_stream_static_join(self):
         engine = engine_with_data()

@@ -18,6 +18,7 @@ from cqgen import (
     SCHEMA,
     SPECS,
     build_engine,
+    eligible_tiers,
     measurement_rows,
     random_single_stream_sql,
     run_engine,
@@ -576,6 +577,35 @@ class TestSiemensDifferential:
             m.windows_incremental for m in per_query.values()
         )
         assert incremental_windows > 0
+
+
+class TestZeroDivisor:
+    def test_forced_tiers_agree_on_null_quotients(self):
+        """A zero divisor is NULL on every tier: recompute and pane
+        aggregate the same NULL-skipping inputs."""
+        sql = (
+            "SELECT w.sid AS s, AVG(w.val / (w.val - w.val)) AS a, "
+            "SUM(w.val % 0) AS m, COUNT(w.val / 0) AS n, "
+            "MAX(w.val / (w.sid - 2)) AS x "
+            "FROM timeSlidingWindow(S, 20, 5) AS w GROUP BY w.sid"
+        )
+        rows = measurement_rows()
+        plan = plan_sql(sql, build_engine(rows), name="probe")
+        tiers = eligible_tiers(plan)
+        assert tiers == [
+            IncrementalMode.PANE_INCREMENTAL, IncrementalMode.RECOMPUTE
+        ]
+        pane, recompute = (
+            run_engine(build_engine(rows), sql, forced_tier=tier)
+            for tier in tiers
+        )
+        assert pane == recompute
+        columns = recompute[0][2]
+        x = columns.index("x")
+        for _, _, _, out in recompute:
+            for row in out:
+                assert row[1:4] == (None, None, 0)
+                assert (row[x] is None) == (row[0] == 2)
 
 
 class TestStaticFilterPushdown:
